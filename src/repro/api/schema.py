@@ -2,8 +2,8 @@
 
 :class:`DiagnosisRequest` and :class:`DiagnosisReport` are the typed objects
 every :class:`~repro.api.Diagnoser` backend consumes and produces.  Their
-``to_dict``/``from_dict`` forms ARE the HTTP wire format of the serving front
-ends (:mod:`repro.serve.protocol` derives its request parsing from
+``to_dict``/``from_dict`` forms ARE the HTTP wire format of the serving
+gateway (its JSON codec parses requests with
 :meth:`DiagnosisRequest.from_dict`, and ``DefectReport.as_dict`` delegates to
 :meth:`DiagnosisReport.from_defect_report`), so an embedded caller and a
 remote caller exchange exactly the same documents.
@@ -96,7 +96,7 @@ def validate_arrays(inputs: ArrayLike, labels: ArrayLike) -> Tuple[np.ndarray, n
     """Coerce and validate a diagnosis batch into ``(float inputs, int64 labels)``.
 
     The single validation every backend shares — local, in-process service,
-    and the HTTP front ends all funnel request payloads through here, so the
+    and the HTTP front end all funnel request payloads through here, so the
     accepted shapes (and the rejection messages) cannot drift apart.
 
     Input dtype follows the :mod:`repro.nn.dtype` policy: float32 and float64
@@ -201,7 +201,7 @@ class DiagnosisRequest:
         Raises :class:`~repro.exceptions.SchemaVersionError` on an unknown
         ``schema`` and :class:`~repro.exceptions.ServeError` on any other
         schema violation (missing/mistyped/unknown fields) — the same errors
-        the HTTP front ends turn into 400 responses.
+        the HTTP front end turns into 400 responses.
         """
         if not isinstance(payload, dict):
             raise ServeError("JSON body must be an object")
@@ -416,7 +416,7 @@ class DiagnosisReport:
         """Build the schema object from a :class:`~repro.core.DefectReport`.
 
         This is THE report-dict assembly of the library: ``DefectReport.as_dict``
-        delegates here, so the service layer, the HTTP front ends, and the
+        delegates here, so the service layer, the HTTP front end, and the
         typed API cannot disagree on field names or defect-key spelling.
         """
         context: Optional[Dict[str, float]] = None

@@ -360,7 +360,7 @@ class DefectReport:
 
         Delegates to the canonical ``v1`` schema of
         :class:`repro.api.schema.DiagnosisReport`, so this dict IS the wire
-        document the serving front ends emit.  (Imported lazily: the api
+        document the serving gateway emits.  (Imported lazily: the api
         package depends on this module.)
         """
         from ..api.schema import DiagnosisReport

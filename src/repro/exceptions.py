@@ -5,7 +5,7 @@ Every error raised intentionally by the library derives from
 programming mistakes with a single ``except`` clause.
 
 This module is also the single place where the serving wire protocol's error
-responses map back onto typed exceptions: HTTP front ends serialize an error
+responses map back onto typed exceptions: the HTTP front end serializes an error
 as ``{"error": <message>, "error_type": <class name>}`` plus a status code
 (see :func:`repro.serve.protocol.error_response`), and clients rebuild the
 original exception class with :func:`exception_from_wire`.  Keeping both
@@ -113,7 +113,7 @@ class PayloadTooLargeError(ServeError):
 class ServiceSaturatedError(ServeError):
     """Admission control rejected a request because every replica queue is full.
 
-    Carries ``retry_after`` (seconds), which HTTP front ends surface as a
+    Carries ``retry_after`` (seconds), which the HTTP front end surfaces as a
     ``Retry-After`` header on the 503 response.
     """
 
@@ -139,7 +139,7 @@ class CodecError(ServeError):
 class UnsupportedMediaTypeError(ServeError):
     """A request names a ``Content-Type``/``Accept`` no registered codec speaks.
 
-    HTTP front ends surface this as a 415 response; the payload's
+    The HTTP front end surfaces this as a 415 response; the payload's
     ``error_type`` lets clients rebuild this class via
     :func:`exception_from_wire`.
     """
@@ -149,8 +149,8 @@ class DeadlineExceededError(ServeError):
     """A request's deadline budget ran out before (or during) a serving stage.
 
     Carried on the wire as ``X-Deadline-Ms`` (remaining milliseconds) and
-    enforced at every stage boundary (admission, batching, extraction); HTTP
-    front ends surface it as a 504 — crucially *before* the diagnosis work is
+    enforced at every stage boundary (admission, batching, extraction); the HTTP
+    front end surfaces it as a 504 — crucially *before* the diagnosis work is
     spent, so a caller that has already given up costs nothing downstream.
     """
 
@@ -186,7 +186,7 @@ class MonitorOverflowError(ServeError):
 
 
 #: HTTP status -> exception class used when a response carries no (or an
-#: unknown) ``error_type``.  Covers every error status the front ends emit
+#: unknown) ``error_type``.  Covers every error status the front end emits
 #: for exception-derived failures.
 _STATUS_FALLBACK: Dict[int, Type[ReproError]] = {
     400: ServeError,

@@ -17,10 +17,10 @@ turns it into a long-lived service for production traffic:
   the pieces together.
 * :mod:`~repro.serve.replicas` — :class:`ReplicaPool`: N service replicas
   with queue-depth-aware routing and admission control.
-* :mod:`~repro.serve.http` — the legacy thread-per-connection JSON/HTTP
-  front end (compatibility path).
-* :mod:`~repro.serve.gateway` — the asyncio event-loop front end
-  (``repro-serve --async`` on the command line).
+* :mod:`~repro.serve.protocol` — the transport rules of the HTTP front end:
+  the exception-to-status table, request ids, deadlines.
+* :mod:`~repro.serve.gateway` — :class:`DiagnosisGateway`, the asyncio HTTP
+  front end over a replica pool (``repro-serve`` on the command line).
 
 Quickstart::
 
@@ -44,7 +44,6 @@ Scale-out::
 from .batching import BatchingEngine, ExtractionRequest
 from .cache import FootprintCache, LRUCache, input_digest
 from .gateway import DiagnosisGateway, parse_request_head, serve_gateway_forever
-from .http import DiagnosisHTTPServer, serve_forever
 from .jobs import Job, JobStatus, JobStore, WorkerPool
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, merge_counters
 from .registry import ArtifactRecord, ArtifactRegistry
@@ -57,7 +56,6 @@ __all__ = [
     "BatchingEngine",
     "Counter",
     "DiagnosisGateway",
-    "DiagnosisHTTPServer",
     "DiagnosisService",
     "ExtractionRequest",
     "FootprintCache",
@@ -75,6 +73,5 @@ __all__ = [
     "input_digest",
     "merge_counters",
     "parse_request_head",
-    "serve_forever",
     "serve_gateway_forever",
 ]

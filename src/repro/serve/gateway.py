@@ -1,17 +1,14 @@
-"""Asyncio scale-out gateway: event-loop HTTP over a replica pool.
+"""Asyncio HTTP front end of the diagnosis service, over a replica pool.
 
-The legacy :class:`~repro.serve.http.DiagnosisHTTPServer` spends a thread per
-connection and funnels every request through one service instance.  Under
-concurrent load that design pays twice: the interpreter context-switches
-across dozens of runnable threads (GIL convoy), and every diagnosis
-serializes on a single batching engine.  The gateway replaces both halves:
+This is the one server behind ``repro-serve``:
 
 * **one event loop** accepts connections and parses HTTP/1.1 with a minimal
   reader (`readuntil(b"\\r\\n\\r\\n")` + `readexactly(content_length)`), so
   idle and slow connections cost a coroutine, not a thread;
 * **a small executor** (sized to the replica pool, not the connection count)
   runs the blocking diagnosis work, bounding how many threads ever compete
-  for the GIL;
+  for the GIL, while replica shards keep one request from serializing every
+  other on a single batching engine;
 * **admission control happens on the loop** before any work is scheduled:
   saturated requests are shed in microseconds with ``503`` +
   ``Retry-After`` instead of queueing without bound;
@@ -27,9 +24,11 @@ serializes on a single batching engine.  The gateway replaces both halves:
 Every request, shed, latency, and queue depth is recorded in
 :mod:`~repro.serve.metrics` registries and exposed at ``GET /metrics``.
 
-The endpoint surface is a superset of the threading server's (``/health``,
-``/models``, ``/stats``, ``/diagnose``, ``/jobs``, ``/jobs/<id>``, plus
-``/metrics``), so clients can move between the two front ends unchanged.
+Routes: ``GET /health``, ``/healthz``, ``/models``, ``/stats``, ``/metrics``,
+``/monitor``, ``/jobs``, ``/jobs/<id>``, ``/debug/traces``, ``/debug/chaos``;
+``POST /diagnose``, ``/jobs``, ``/debug/chaos``.  Stopping the gateway closes
+idle keep-alive connections and lets in-flight requests finish within a
+bounded grace, so shutdown logs no errors.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Set, Tuple, Union
 
 from ..exceptions import (
     DeadlineExceededError,
@@ -65,15 +64,13 @@ from ..resilience import (
     get_injector,
     unbind_deadline,
 )
-from ..wire import Codec, get_codec
+from ..wire import Codec, get_codec, negotiate, request_digest
 from .cache import ResponseCache, ResponseEntry
 from .metrics import MetricsRegistry, render_registries_text
 from .protocol import (
     error_response,
     is_loopback_peer,
-    negotiate_codecs,
     parse_json_body,
-    request_digest,
     resolve_deadline,
     resolve_request_id,
     wants_text_metrics,
@@ -84,6 +81,9 @@ __all__ = ["ParsedRequest", "parse_request_head", "DiagnosisGateway", "serve_gat
 
 DEFAULT_MAX_BODY_BYTES = 16 * 1024 * 1024
 MAX_HEADER_BYTES = 64 * 1024
+#: How long a stopping gateway lets in-flight requests finish before it
+#: cancels their connections.
+SHUTDOWN_GRACE_SECONDS = 5.0
 
 _REASONS = {
     200: "OK",
@@ -167,9 +167,8 @@ def parse_request_head(blob: bytes) -> ParsedRequest:
 class DiagnosisGateway:
     """The asyncio front end over a :class:`~repro.serve.replicas.ReplicaPool`.
 
-    Mirrors the lifecycle API of the threading server — construct, then
-    either :meth:`start` (background thread, for tests/embedding) or
-    :meth:`serve_forever` (blocking, for the CLI); ``port=0`` binds an
+    Construct, then either :meth:`start` (background thread, for
+    tests/embedding) or :meth:`serve_forever` (blocking); ``port=0`` binds an
     ephemeral port readable from :attr:`port` once running.
     """
 
@@ -210,6 +209,11 @@ class DiagnosisGateway:
         self._stop_event: Optional[asyncio.Event] = None
         self._thread: Optional[threading.Thread] = None
         self._bound: Optional[Tuple[str, int]] = None
+        #: Handler tasks of open connections, and the writers of those waiting
+        #: for the next request head (which shutdown may close at any time).
+        self._connections: Set[asyncio.Task] = set()
+        self._idle: Set[asyncio.StreamWriter] = set()
+        self._stopping = False
         self._started = threading.Event()
         self._startup_error: Optional[BaseException] = None
 
@@ -315,6 +319,7 @@ class DiagnosisGateway:
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
+        self._stopping = False
         self._executor = ThreadPoolExecutor(
             max_workers=self._executor_workers, thread_name_prefix="repro-gateway-worker"
         )
@@ -330,9 +335,31 @@ class DiagnosisGateway:
         try:
             async with self._server:
                 await self._stop_event.wait()
+                await self._close_connections()
         finally:
             self._executor.shutdown(wait=False)
             self._bound = None
+
+    async def _close_connections(self) -> None:
+        """Stop accepting, close idle connections, let in-flight requests end.
+
+        Every handler returns normally: an idle one sees end-of-stream, and
+        a busy one closes its connection after the response it is writing.
+        Only a request still running after :data:`SHUTDOWN_GRACE_SECONDS`
+        is cancelled.
+        """
+        self._stopping = True
+        self._server.close()
+        for writer in list(self._idle):
+            writer.close()
+        handlers = list(self._connections)
+        if not handlers:
+            return
+        _, pending = await asyncio.wait(handlers, timeout=SHUTDOWN_GRACE_SECONDS)
+        for task in pending:
+            task.cancel()
+        if pending:
+            await asyncio.wait(pending)
 
     # -- connection handling --------------------------------------------------------
 
@@ -340,8 +367,11 @@ class DiagnosisGateway:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._m_connections.inc()
+        task = asyncio.current_task()
+        self._connections.add(task)
         try:
-            while True:
+            while not self._stopping:
+                self._idle.add(writer)
                 try:
                     head = await asyncio.wait_for(
                         reader.readuntil(b"\r\n\r\n"), timeout=self.idle_timeout
@@ -351,12 +381,22 @@ class DiagnosisGateway:
                 except (asyncio.LimitOverrunError, ValueError):
                     await self._respond(writer, 431, {"error": "request head too large"}, False)
                     break
+                finally:
+                    self._idle.discard(writer)
                 keep_alive = await self._handle_request(head, reader, writer)
                 if not keep_alive:
                     break
         except ConnectionError:
             pass
+        except asyncio.CancelledError:
+            # Shutdown cancels a request still running after the grace; the
+            # task ends normally, since one that ends cancelled makes
+            # asyncio's stream callback log an error.  Any other
+            # cancellation propagates.
+            if not self._stopping:
+                raise
         finally:
+            self._connections.discard(task)
             self._m_connections.dec()
             writer.close()
             try:
@@ -434,7 +474,7 @@ class DiagnosisGateway:
         if length > self.max_body_bytes:
             # The body is never read, so the stream is desynchronized: close.
             # Mapped through the shared protocol table so the payload carries
-            # error_type exactly like the threading front end's 413.
+            # error_type like every other error document.
             status, payload, extra = error_response(
                 PayloadTooLargeError(
                     f"request body of {length} bytes exceeds {self.max_body_bytes}"
@@ -498,7 +538,7 @@ class DiagnosisGateway:
         )
         if status >= 400 and isinstance(payload, dict):
             payload.setdefault("request_id", request_id)
-        keep_alive = request.keep_alive and status < 500
+        keep_alive = request.keep_alive and status < 500 and not self._stopping
         with get_tracer().span("gateway.respond"):
             sent = await self._respond(
                 writer, status, payload, keep_alive, tuple(extra) + rid_header
@@ -620,8 +660,8 @@ class DiagnosisGateway:
             return 200, injector.stats(), ()
         if path == "/diagnose":
             # Codec negotiation first: an unknown Content-Type/Accept is a 415
-            # before any cache or admission work (negotiate_codecs raises).
-            request_codec, response_codec = negotiate_codecs(
+            # before any cache or admission work (negotiate raises).
+            request_codec, response_codec = negotiate(
                 headers, default=self.default_codec
             )
             # The response cache answers byte-identical repeats on the loop
@@ -664,7 +704,7 @@ class DiagnosisGateway:
                 ("Content-Type", response_codec.content_type),
             )
         if path == "/jobs":
-            request_codec, _ = negotiate_codecs(headers, default=self.default_codec)
+            request_codec, _ = negotiate(headers, default=self.default_codec)
             return await self._run_blocking(self._submit_job_blocking, body, request_codec)
         return 404, {"error": f"unknown path {path!r}"}, ()
 

@@ -1,20 +1,19 @@
-"""Wire protocol shared by both HTTP front ends.
+"""Transport rules of the HTTP front end (:mod:`repro.serve.gateway`).
 
-The thread-per-connection server (:mod:`repro.serve.http`) and the asyncio
-gateway (:mod:`repro.serve.gateway`) accept the same ``/diagnose`` and
-``/jobs`` body schema and emit the same error documents.  Both halves are
+The gateway's ``/diagnose`` and ``/jobs`` bodies and its error documents are
 derived from single sources:
 
 * request parsing is :meth:`repro.api.schema.DiagnosisRequest.from_dict` —
   the wire format *is* the library's ``v1`` schema, so a schema change lands
-  in both front ends and every client at once;
+  in the server and every client at once;
 * error responses come from :func:`error_response`, the one place an
   exception is mapped to a status code, an ``{"error", "error_type"}``
   payload, and transport headers (``Retry-After``).  Clients invert the
   mapping with :func:`repro.exceptions.exception_from_wire`;
 * wire encodings come from :mod:`repro.wire`: request bodies are decoded by
   the codec owning their ``Content-Type`` (absent → JSON), ``/diagnose``
-  success responses are encoded per ``Accept`` (see :func:`negotiate_codecs`),
+  success responses are encoded per ``Accept`` (see
+  :func:`repro.wire.negotiate`),
   unknown media types on either side are a 415, and error documents are
   always JSON so a client can read a failure whatever codec it asked for.
 """
@@ -24,7 +23,6 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api.schema import DiagnosisRequest
 from ..exceptions import (
     ArtifactNotFoundError,
     DeadlineExceededError,
@@ -36,27 +34,15 @@ from ..exceptions import (
     UnsupportedMediaTypeError,
 )
 from ..resilience import DEADLINE_HEADER, Deadline
-from ..wire import (
-    codec_for_accept,
-    codec_for_content_type,
-    negotiate as negotiate_codecs,
-    request_digest,
-)
 
 __all__ = [
     "parse_json_body",
-    "parse_diagnosis_request",
-    "diagnosis_args",
     "error_status",
     "error_response",
     "resolve_request_id",
     "resolve_deadline",
     "is_loopback_peer",
     "wants_text_metrics",
-    "negotiate_codecs",
-    "codec_for_content_type",
-    "codec_for_accept",
-    "request_digest",
 ]
 
 Headers = Sequence[Tuple[str, str]]
@@ -79,19 +65,13 @@ def resolve_request_id(supplied: Optional[str], generate) -> str:
     return generate()
 
 
-def resolve_deadline(headers) -> Optional[Deadline]:
-    """The request's deadline from ``X-Deadline-Ms``, shared by both front ends.
+def resolve_deadline(headers: Dict[str, str]) -> Optional[Deadline]:
+    """The request's deadline from ``X-Deadline-Ms`` in lower-cased ``headers``.
 
-    ``headers`` is any case-insensitive-get mapping (the gateway's lowercased
-    dict, the threading server's ``email.message``-style headers).  Absent or
-    malformed values mean "no deadline" — a garbage header must not reject a
-    request that never asked for one.
+    Absent or malformed values mean "no deadline" — a garbage header must not
+    reject a request that never asked for one.
     """
-    getter = getattr(headers, "get", None)
-    if getter is None:
-        return None
-    value = getter(DEADLINE_HEADER.lower()) or getter(DEADLINE_HEADER)
-    return Deadline.from_header_ms(value)
+    return Deadline.from_header_ms(headers.get(DEADLINE_HEADER.lower()))
 
 
 #: Loopback addresses allowed to reconfigure chaos at runtime.  The debug
@@ -134,24 +114,8 @@ def parse_json_body(raw: bytes) -> Dict:
     return payload
 
 
-def parse_diagnosis_request(payload: Dict) -> DiagnosisRequest:
-    """Validate a diagnosis request body against the ``v1`` schema."""
-    return DiagnosisRequest.from_dict(payload)
-
-
-def diagnosis_args(payload: Dict) -> Tuple[str, list, list, Optional[str], Optional[Dict]]:
-    """Deprecated shim: unpack a request body as a plain tuple.
-
-    Kept for callers written against the pre-``repro.api`` protocol; new code
-    should use :func:`parse_diagnosis_request` and work with the typed
-    :class:`~repro.api.schema.DiagnosisRequest`.
-    """
-    request = parse_diagnosis_request(payload)
-    return request.model, request.inputs, request.labels, request.version, request.metadata
-
-
 def error_status(error: BaseException) -> int:
-    """The HTTP status both front ends use for ``error`` (the single mapping)."""
+    """The HTTP status the server uses for ``error`` (the single mapping)."""
     if isinstance(error, ServiceSaturatedError):
         return 503
     if isinstance(error, ArtifactNotFoundError):

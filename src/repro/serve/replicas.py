@@ -511,7 +511,8 @@ class ReplicaPool:
         return self._replicas[0].service.registry.models()
 
     def records(self) -> List[Dict]:
-        return self._replicas[0].service.models()
+        """Manifest records of every registered artifact version."""
+        return [record.as_dict() for record in self._replicas[0].service.registry.records()]
 
     def stats(self) -> Dict:
         with self._lock:

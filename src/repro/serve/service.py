@@ -99,7 +99,7 @@ class DiagnosisService:
         Optional shared :class:`~repro.serve.metrics.MetricsRegistry`; by
         default the service creates its own.  The registry is threaded through
         the batching engine, footprint cache, and worker pool, and exposed at
-        ``GET /metrics`` by the HTTP front ends.
+        ``GET /metrics`` by the HTTP front end.
     monitor:
         When ``True``, a :class:`~repro.monitor.MonitorSink` watches the
         served traffic: freshly extracted cases feed a per-model drift window
@@ -453,10 +453,6 @@ class DiagnosisService:
         )
 
     # -- introspection ------------------------------------------------------------
-
-    def models(self) -> List[Dict]:
-        """Manifest records of every registered artifact version."""
-        return [record.as_dict() for record in self.registry.records()]
 
     def stats(self) -> Dict:
         return {

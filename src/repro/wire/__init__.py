@@ -3,7 +3,7 @@
 One :class:`Codec` owns the whole bytes↔document boundary for one content
 type; :class:`JsonCodec` (the default, byte-compatible with every pre-codec
 client) and :class:`BinaryCodec` (framed raw-array transport) are registered
-out of the box.  The serving front ends negotiate between them per request
+out of the box.  The serving gateway negotiates between them per request
 (:func:`negotiate`), clients pick one by name (:func:`get_codec` via the
 ``wire_codec`` config knob), and :func:`request_digest` gives both encodings
 one canonical cache identity.

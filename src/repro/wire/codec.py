@@ -2,8 +2,8 @@
 
 Before this package, serialization logic was smeared across four layers —
 ``api.schema``'s ``to_dict``/``from_dict``, ``serve.protocol``'s body
-parsing, ``RemoteDiagnoser``'s hand-rolled encode, and the two HTTP front
-ends — so no single component could negotiate or swap an encoding.  A
+parsing, ``RemoteDiagnoser``'s hand-rolled encode, and the HTTP front
+end — so no single component could negotiate or swap an encoding.  A
 :class:`Codec` owns the whole bytes↔document boundary for one content type:
 
 * :class:`JsonCodec` — the ``v1`` JSON format, extracted verbatim from the
@@ -63,8 +63,8 @@ class Codec(abc.ABC):
     A codec is stateless and cheap to share; the registry below holds one
     instance per encoding.  ``encode_*`` never mutates its argument;
     ``decode_*`` validates everything it touches and raises only typed
-    :class:`~repro.exceptions.ReproError` subclasses (so HTTP front ends map
-    a malformed payload to a 4xx, never a 500).
+    :class:`~repro.exceptions.ReproError` subclasses (so the HTTP front end
+    maps a malformed payload to a 4xx, never a 500).
     """
 
     #: Registry name (``"json"``/``"binary"``) — what config knobs name.
@@ -236,7 +236,7 @@ def codec_for_content_type(value: Optional[str]) -> Codec:
 
     Parameters after ``;`` (``charset=...``) are ignored.  An unregistered
     media type raises :class:`~repro.exceptions.UnsupportedMediaTypeError`,
-    which both HTTP front ends map to a 415 response.
+    which the HTTP front end maps to a 415 response.
     """
     if value is None or not value.strip():
         return default_codec()
@@ -283,7 +283,7 @@ def negotiate(
 ) -> Tuple[Codec, Codec]:
     """``(request codec, response codec)`` for one request's headers.
 
-    ``headers`` must be lower-cased keys (both front ends already normalize).
+    ``headers`` must be lower-cased keys (the gateway's parser normalizes them).
     The request body is decoded per ``Content-Type`` (absent → JSON), the
     response encoded per ``Accept`` (absent/wildcard → ``default``, itself
     defaulting to JSON).  Unknown media types on either side raise

@@ -1,28 +1,28 @@
 """End-to-end gateway test: fit → register → async HTTP diagnose → parity.
 
-Mirrors ``test_serve_http.py`` for the asyncio gateway, then goes further:
-the gateway must agree with the legacy threading server *and* the direct
-``DeepMorph.diagnose_dataset`` call, survive the documented error paths
-(malformed JSON, oversized body, unknown model/version, saturation), and
-publish a well-formed ``/metrics`` document.
+Goes further than ``test_serve_http.py``: the gateway's response must be
+bitwise identical to an in-process ``ReplicaPool.diagnose_dict`` document and
+agree with the direct ``DeepMorph.diagnose_dataset`` call, survive the
+documented error paths (malformed JSON, oversized body, unknown
+model/version, saturation), publish a well-formed ``/metrics`` document, and
+shut down cleanly with connections still open.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import logging
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.serve import (
-    ArtifactRegistry,
-    DiagnosisGateway,
-    DiagnosisHTTPServer,
-    DiagnosisService,
-    ReplicaPool,
-)
+from repro.resilience import configure_chaos
+from repro.serve import ArtifactRegistry, DiagnosisGateway, ReplicaPool
+from repro.wire import get_codec
 
 
 @pytest.fixture(scope="module")
@@ -70,27 +70,27 @@ def _get(url: str) -> dict:
 
 
 class TestGatewayDiagnosis:
-    def test_matches_direct_and_threading_server(
-        self, gateway, registry_dir, fitted_deepmorph, tiny_splits
+    def test_matches_direct_and_in_process_pool(
+        self, gateway, pool, fitted_deepmorph, tiny_splits
     ):
         _, test = tiny_splits
         inputs, labels = test.arrays()
         payload = {"model": "tiny", "inputs": inputs.tolist(), "labels": labels.tolist()}
 
-        via_gateway = _post(gateway.url + "/diagnose", payload)
+        request = urllib.request.Request(
+            gateway.url + "/diagnose",
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=60) as response:
+            served = response.read()
 
-        service = DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1)
-        server = DiagnosisHTTPServer(service, port=0).start()
-        try:
-            via_threads = _post(server.url + "/diagnose", payload)
-        finally:
-            server.shutdown()
-            service.close()
+        # Bitwise-identical bytes: same artifact, same batch composition, same
+        # extraction pipeline — the HTTP front end must not change the answer.
+        in_process = pool.diagnose_dict("tiny", payload["inputs"], payload["labels"])
+        assert served == get_codec("json").encode_report(in_process)
 
-        # Bitwise-identical payloads: same artifact, same batch composition,
-        # same extraction pipeline — the front end must not change the answer.
-        assert via_gateway == via_threads
-
+        via_gateway = json.loads(served)
         direct = fitted_deepmorph.diagnose_dataset(test)
         assert via_gateway["num_cases"] == direct.num_cases
         for defect, ratio in direct.ratios.items():
@@ -186,6 +186,8 @@ class TestGatewayErrorPaths:
             document = json.loads(excinfo.value.read())
             assert document["error_type"] == "PayloadTooLargeError"
             assert "request_id" in document
+            # The 413 closed only that connection; the server keeps serving.
+            assert _get(small.url + "/health")["status"] == "ok"
         finally:
             small.shutdown()
 
@@ -517,42 +519,125 @@ class TestGatewayWireNegotiation:
         )
         assert headers["X-Request-ID"] == "wire-echo-1"
 
+    def test_server_default_codec_answers_wildcard_accept(self, pool, payload):
+        from repro.wire import BinaryCodec
 
-class TestThreadingServerHardening:
-    """The legacy front end's new limits (the bugfix satellite)."""
-
-    def test_oversized_body_is_413_and_next_request_succeeds(self, registry_dir):
-        service = DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1)
-        server = DiagnosisHTTPServer(service, port=0, max_body_bytes=64).start()
+        binary_default = DiagnosisGateway(pool, port=0, default_codec="binary").start()
         try:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _post(server.url + "/diagnose", {"model": "tiny", "inputs": [[0.0] * 64]})
-            assert excinfo.value.code == 413
-            assert _get(server.url + "/health")["status"] == "ok"
+            body, headers = self._exchange(
+                binary_default.url + "/diagnose",
+                json.dumps(payload).encode(),
+                {"Content-Type": "application/json", "Accept": "*/*"},
+            )
+            assert headers["Content-Type"] == "application/x-repro-binary"
+            assert BinaryCodec().decode_report(body).num_cases >= 1
+            # An explicit Accept still overrides the server default.
+            body, headers = self._exchange(
+                binary_default.url + "/diagnose",
+                json.dumps(payload).encode(),
+                {"Content-Type": "application/json", "Accept": "application/json"},
+            )
+            assert headers["Content-Type"] == "application/json"
         finally:
-            server.shutdown()
-            service.close()
+            binary_default.shutdown()
 
-    def test_metrics_endpoint_on_threading_server(self, registry_dir):
-        service = DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1)
-        server = DiagnosisHTTPServer(service, port=0).start()
-        try:
-            metrics = _get(server.url + "/metrics")["service"]
-            assert "service.diagnoses_total" in metrics
-            assert metrics["service.diagnoses_total"]["type"] == "counter"
-        finally:
-            server.shutdown()
-            service.close()
 
-    def test_handler_timeout_and_body_cap_configured(self, registry_dir):
-        service = DiagnosisService(registry_dir, batch_wait_seconds=0.001, num_workers=1)
-        server = DiagnosisHTTPServer(
-            service, port=0, socket_timeout=7.5, max_body_bytes=123
-        ).start()
+class TestGatewayShutdown:
+    """Stopping the gateway with connections open ends every handler normally."""
+
+    @staticmethod
+    def _asyncio_errors(caplog):
+        return [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+
+    def test_idle_keep_alive_connection_is_closed_without_errors(self, pool, caplog):
+        caplog.set_level(logging.DEBUG, logger="asyncio")
+        gateway = DiagnosisGateway(pool, port=0).start()
+        connection = http.client.HTTPConnection(gateway.host, gateway.port, timeout=10)
         try:
-            assert server._server.daemon_threads is True
-            assert server._server.max_body_bytes == 123
-            assert server._server.RequestHandlerClass.timeout == 7.5
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            assert response.getheader("Connection") == "keep-alive"
+            gateway.shutdown()
+            # The server closed the idle connection: the next read sees EOF.
+            assert connection.sock.recv(1) == b""
         finally:
-            server.shutdown()
-            service.close()
+            connection.close()
+            gateway.shutdown()
+        assert self._asyncio_errors(caplog) == []
+
+    @staticmethod
+    def _shutdown_during_slow_request(pool, tiny_splits, delay_seconds: float) -> dict:
+        """Stop the gateway while one ``/diagnose`` is held ``delay_seconds``
+        in the replica; returns what the client saw."""
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        body = json.dumps(
+            {"model": "tiny", "inputs": inputs.tolist(), "labels": labels.tolist()}
+        ).encode("utf-8")
+        gateway = DiagnosisGateway(pool, port=0, response_cache_size=0).start()
+        outcome = {}
+
+        def post() -> None:
+            connection = http.client.HTTPConnection(gateway.host, gateway.port, timeout=30)
+            try:
+                connection.request(
+                    "POST", "/diagnose", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                outcome["status"] = response.status
+                outcome["connection"] = response.getheader("Connection")
+                outcome["report"] = json.loads(response.read())
+            except (http.client.HTTPException, ConnectionError) as error:
+                outcome["error"] = error
+            finally:
+                connection.close()
+
+        configure_chaos({
+            "plans": [{
+                "site": "replica.dispatch", "mode": "delay", "delay_seconds": delay_seconds,
+            }],
+        })
+        client = threading.Thread(target=post)
+        try:
+            client.start()
+            deadline = time.monotonic() + 10
+            while pool.inflight == 0 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert pool.inflight == 1
+            gateway.shutdown()
+            client.join(timeout=30)
+        finally:
+            configure_chaos(None)
+            gateway.shutdown()
+        # The replica finishes its (now unanswered) work and frees its slot.
+        deadline = time.monotonic() + 10
+        while pool.inflight and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return outcome
+
+    def test_inflight_request_finishes_during_shutdown(self, pool, tiny_splits, caplog):
+        caplog.set_level(logging.DEBUG, logger="asyncio")
+        outcome = self._shutdown_during_slow_request(pool, tiny_splits, delay_seconds=0.3)
+        assert outcome["status"] == 200
+        assert outcome["connection"] == "close"
+        assert outcome["report"]["num_cases"] >= 1
+        assert self._asyncio_errors(caplog) == []
+
+    def test_request_past_the_grace_is_cancelled_without_errors(
+        self, pool, tiny_splits, caplog, monkeypatch
+    ):
+        from repro.serve import gateway as gateway_module
+
+        caplog.set_level(logging.DEBUG, logger="asyncio")
+        monkeypatch.setattr(gateway_module, "SHUTDOWN_GRACE_SECONDS", 0.05)
+        outcome = self._shutdown_during_slow_request(pool, tiny_splits, delay_seconds=0.5)
+        assert "error" in outcome  # closed unanswered once the grace ran out
+        assert pool.inflight == 0
+        assert self._asyncio_errors(caplog) == []

@@ -7,10 +7,10 @@ pinning the pre-drift version in the request — replays the pre-drift
 diagnosis bit for bit, because registry artifacts are immutable and the
 update never touched ``v1``'s bytes.
 
-Also covered here: the ``GET /monitor`` route on both front ends (the
-threading server and the asyncio gateway, including ``?refresh=1`` and the
-disabled payload), monitor gauges on ``GET /metrics``, and the
-``repro-monitor`` CLI replaying a JSONL trace offline.
+Also covered here: the gateway's ``GET /monitor`` route (including
+``?refresh=1``, the disabled payload and the per-replica aggregate), monitor
+instruments on ``GET /metrics``, and the ``repro-monitor`` CLI replaying a
+JSONL trace offline.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ import numpy as np
 import pytest
 
 from repro.cli import monitor as monitor_cli
-from repro.serve import (
-    ArtifactRegistry,
-    DiagnosisGateway,
-    DiagnosisHTTPServer,
-    DiagnosisService,
-    ReplicaPool,
-)
+from repro.serve import ArtifactRegistry, DiagnosisGateway, DiagnosisService, ReplicaPool
 
 MONITOR_KWARGS = dict(
     batch_wait_seconds=0.001,
@@ -125,13 +119,14 @@ class TestMonitorEndpoints:
     def test_http_server_monitor_route_and_metrics(
         self, monitored_registry, tiny_splits
     ):
-        service = DiagnosisService(
-            ArtifactRegistry(monitored_registry),
+        pool = ReplicaPool.from_registry(
+            monitored_registry,
+            num_replicas=1,
             monitor=True,
             monitor_window=128,
             **MONITOR_KWARGS,
         )
-        server = DiagnosisHTTPServer(service, port=0).start()
+        server = DiagnosisGateway(pool, port=0, response_cache_size=0).start()
         try:
             _, test = tiny_splits
             inputs, labels = test.arrays()
@@ -143,30 +138,35 @@ class TestMonitorEndpoints:
             payload = _get(server.url + "/monitor?refresh=1")
             assert payload["enabled"] is True
             assert payload["level"] in ("ok", "warn", "critical")
-            model = payload["models"]["tiny@v1"]
+            model = payload["replicas"]["0"]["models"]["tiny@v1"]
             assert model["window"]["cases"] > 0
             assert model["drift"] is not None
 
-            metrics = _get(server.url + "/metrics")["service"]
+            metrics = _get(server.url + "/metrics")["replicas"][0]
             assert metrics["monitor.observed_cases"]["value"] >= len(test)
             assert "monitor.alert_level" in metrics
         finally:
             server.shutdown()
-            service.close()
+            pool.close()
 
     def test_http_server_monitor_disabled_payload(self, monitored_registry):
-        service = DiagnosisService(
-            ArtifactRegistry(monitored_registry), **MONITOR_KWARGS
+        pool = ReplicaPool.from_registry(
+            monitored_registry, num_replicas=1, **MONITOR_KWARGS
         )
-        server = DiagnosisHTTPServer(service, port=0).start()
+        server = DiagnosisGateway(pool, port=0).start()
         try:
             payload = _get(server.url + "/monitor")
             assert payload == {
-                "enabled": False, "level": "ok", "models": {}, "alerts": {},
+                "enabled": False,
+                "level": "ok",
+                "level_severity": 0,
+                "replicas": {
+                    "0": {"enabled": False, "level": "ok", "models": {}, "alerts": {}},
+                },
             }
         finally:
             server.shutdown()
-            service.close()
+            pool.close()
 
     def test_gateway_monitor_route_aggregates_replicas(
         self, monitored_registry, tiny_splits

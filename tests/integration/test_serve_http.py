@@ -14,19 +14,25 @@ import urllib.request
 
 import pytest
 
-from repro.serve import ArtifactRegistry, DiagnosisHTTPServer, DiagnosisService
+from repro.serve import ArtifactRegistry, DiagnosisGateway, ReplicaPool
 
 
 @pytest.fixture(scope="module")
 def served(tmp_path_factory, fitted_deepmorph):
-    """A running HTTP server over a registry holding the fitted tiny model."""
+    """A running gateway over a registry holding the fitted tiny model.
+
+    One replica, and the response cache off, so every request reaches the
+    service and its footprint cache.
+    """
     registry = ArtifactRegistry(tmp_path_factory.mktemp("registry"))
     registry.register("tiny", fitted_deepmorph, metadata={"suite": "integration"})
-    service = DiagnosisService(registry, batch_wait_seconds=0.001, num_workers=1)
-    server = DiagnosisHTTPServer(service, port=0).start()
+    pool = ReplicaPool.from_registry(
+        registry, num_replicas=1, batch_wait_seconds=0.001, num_workers=1
+    )
+    server = DiagnosisGateway(pool, port=0, response_cache_size=0).start()
     yield server
     server.shutdown()
-    service.close()
+    pool.close()
 
 
 def _post(url: str, payload: dict) -> dict:
@@ -69,9 +75,9 @@ class TestServeEndToEnd:
         inputs, labels = test.arrays()
         payload = {"model": "tiny", "inputs": inputs.tolist(), "labels": labels.tolist()}
         first = _post(served.url + "/diagnose", payload)
-        before = _get(served.url + "/stats")["engine"]
+        before = _get(served.url + "/stats")["pool"]["replicas"][0]["engine"]
         second = _post(served.url + "/diagnose", payload)
-        after = _get(served.url + "/stats")["engine"]
+        after = _get(served.url + "/stats")["pool"]["replicas"][0]["engine"]
         assert second["ratios"] == first["ratios"]
         assert after["cases_from_cache"] >= before["cases_from_cache"] + len(test)
         assert after["cases_extracted"] == before["cases_extracted"]
@@ -131,105 +137,3 @@ class TestServeEndToEnd:
             _get(served.url + "/nope")
         assert excinfo.value.code == 404
 
-
-class TestThreadingServerWireNegotiation:
-    """The legacy front end speaks the same codec layer as the gateway."""
-
-    @pytest.fixture(scope="class")
-    def payload(self, tiny_splits):
-        _, test = tiny_splits
-        inputs, labels = test.arrays()
-        return {"model": "tiny", "inputs": inputs.tolist(), "labels": labels.tolist()}
-
-    @staticmethod
-    def _exchange(url, body, headers):
-        request = urllib.request.Request(url, data=body, headers=headers)
-        with urllib.request.urlopen(request, timeout=60) as response:
-            return response.read(), dict(response.headers)
-
-    def test_binary_round_trip_matches_json(self, served, payload):
-        from repro.api import DiagnosisRequest
-        from repro.wire import BinaryCodec
-
-        binary = BinaryCodec()
-        frame = binary.encode_request(DiagnosisRequest.from_dict(dict(payload)))
-        body, headers = self._exchange(
-            served.url + "/diagnose",
-            frame,
-            {"Content-Type": binary.content_type, "Accept": binary.content_type},
-        )
-        assert headers["Content-Type"] == binary.content_type
-        assert binary.decode_report(body).to_dict() == _post(
-            served.url + "/diagnose", payload
-        )
-
-    def test_missing_accept_answers_json(self, served, payload):
-        from repro.api import DiagnosisRequest
-        from repro.wire import BinaryCodec
-
-        frame = BinaryCodec().encode_request(DiagnosisRequest.from_dict(dict(payload)))
-        body, headers = self._exchange(
-            served.url + "/diagnose", frame,
-            {"Content-Type": "application/x-repro-binary"},
-        )
-        assert headers["Content-Type"] == "application/json"
-        assert json.loads(body)["num_cases"] >= 1
-
-    def test_unknown_content_type_is_415(self, served, payload):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._exchange(
-                served.url + "/diagnose",
-                json.dumps(payload).encode(),
-                {"Content-Type": "application/xml"},
-            )
-        assert excinfo.value.code == 415
-        document = json.loads(excinfo.value.read())
-        assert document["error_type"] == "UnsupportedMediaTypeError"
-
-    def test_unsatisfiable_accept_is_415(self, served, payload):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._exchange(
-                served.url + "/diagnose",
-                json.dumps(payload).encode(),
-                {"Content-Type": "application/json", "Accept": "text/html, image/png"},
-            )
-        assert excinfo.value.code == 415
-
-    def test_malformed_binary_frame_is_400_with_json_error(self, served):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            self._exchange(
-                served.url + "/diagnose",
-                b"\x00\x01 not a frame",
-                {"Content-Type": "application/x-repro-binary"},
-            )
-        assert excinfo.value.code == 400
-        assert excinfo.value.headers["Content-Type"] == "application/json"
-        assert json.loads(excinfo.value.read())["error_type"] == "CodecError"
-
-    def test_server_default_codec_answers_wildcard_accept(
-        self, tmp_path_factory, fitted_deepmorph, payload
-    ):
-        from repro.wire import BinaryCodec
-
-        registry = ArtifactRegistry(tmp_path_factory.mktemp("binary_default"))
-        registry.register("tiny", fitted_deepmorph)
-        service = DiagnosisService(registry, batch_wait_seconds=0.001, num_workers=1)
-        server = DiagnosisHTTPServer(service, port=0, default_codec="binary").start()
-        try:
-            body, headers = self._exchange(
-                served_url := server.url + "/diagnose",
-                json.dumps(payload).encode(),
-                {"Content-Type": "application/json", "Accept": "*/*"},
-            )
-            assert headers["Content-Type"] == "application/x-repro-binary"
-            assert BinaryCodec().decode_report(body).num_cases >= 1
-            # An explicit Accept still overrides the server default.
-            body, headers = self._exchange(
-                served_url,
-                json.dumps(payload).encode(),
-                {"Content-Type": "application/json", "Accept": "application/json"},
-            )
-            assert headers["Content-Type"] == "application/json"
-        finally:
-            server.shutdown()
-            service.close()
