@@ -542,6 +542,44 @@ class TestGatewayWireNegotiation:
             binary_default.shutdown()
 
 
+class TestThreadingServerHardening:
+    """The front-end limits first written for the threading server.
+
+    That server is gone; ``repro-serve`` runs the gateway for every
+    deployment, so the same limits are checked here on a gateway over a
+    fresh single-replica pool.
+    """
+
+    @pytest.fixture()
+    def single_pool(self, registry_dir):
+        pool = ReplicaPool.from_registry(
+            registry_dir, num_replicas=1, batch_wait_seconds=0.001, num_workers=1
+        )
+        yield pool
+        pool.close()
+
+    def test_oversized_body_is_413_and_next_request_succeeds(self, single_pool):
+        server = DiagnosisGateway(single_pool, port=0, max_body_bytes=64).start()
+        try:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(server.url + "/diagnose", {"model": "tiny", "inputs": [[0.0] * 64]})
+            assert excinfo.value.code == 413
+            assert _get(server.url + "/health")["status"] == "ok"
+        finally:
+            server.shutdown()
+
+    def test_metrics_endpoint_on_threading_server(self, single_pool):
+        server = DiagnosisGateway(single_pool, port=0).start()
+        try:
+            metrics = _get(server.url + "/metrics")
+            replica = metrics["replicas"][0]
+            assert "service.diagnoses_total" in replica
+            assert replica["service.diagnoses_total"]["type"] == "counter"
+            assert "service.diagnoses_total" in metrics["aggregate_counters"]
+        finally:
+            server.shutdown()
+
+
 class TestGatewayShutdown:
     """Stopping the gateway with connections open ends every handler normally."""
 

@@ -137,3 +137,82 @@ class TestServeEndToEnd:
             _get(served.url + "/nope")
         assert excinfo.value.code == 404
 
+
+
+class TestThreadingServerWireNegotiation:
+    """Codec negotiation on the front end ``repro-serve`` runs.
+
+    Written for the threading server; that server is gone and the same
+    contract is checked on the gateway behind ``served``.
+    """
+
+    @pytest.fixture(scope="class")
+    def payload(self, tiny_splits):
+        _, test = tiny_splits
+        inputs, labels = test.arrays()
+        return {"model": "tiny", "inputs": inputs.tolist(), "labels": labels.tolist()}
+
+    @staticmethod
+    def _exchange(url, body, headers):
+        request = urllib.request.Request(url, data=body, headers=headers)
+        with urllib.request.urlopen(request, timeout=60) as response:
+            return response.read(), dict(response.headers)
+
+    def test_binary_round_trip_matches_json(self, served, payload):
+        from repro.api import DiagnosisRequest
+        from repro.wire import BinaryCodec
+
+        binary = BinaryCodec()
+        frame = binary.encode_request(DiagnosisRequest.from_dict(dict(payload)))
+        body, headers = self._exchange(
+            served.url + "/diagnose",
+            frame,
+            {"Content-Type": binary.content_type, "Accept": binary.content_type},
+        )
+        assert headers["Content-Type"] == binary.content_type
+        assert binary.decode_report(body).to_dict() == _post(
+            served.url + "/diagnose", payload
+        )
+
+    def test_missing_accept_answers_json(self, served, payload):
+        from repro.api import DiagnosisRequest
+        from repro.wire import BinaryCodec
+
+        frame = BinaryCodec().encode_request(DiagnosisRequest.from_dict(dict(payload)))
+        body, headers = self._exchange(
+            served.url + "/diagnose", frame,
+            {"Content-Type": "application/x-repro-binary"},
+        )
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(body)["num_cases"] >= 1
+
+    def test_unknown_content_type_is_415(self, served, payload):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._exchange(
+                served.url + "/diagnose",
+                json.dumps(payload).encode(),
+                {"Content-Type": "application/xml"},
+            )
+        assert excinfo.value.code == 415
+        document = json.loads(excinfo.value.read())
+        assert document["error_type"] == "UnsupportedMediaTypeError"
+
+    def test_unsatisfiable_accept_is_415(self, served, payload):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._exchange(
+                served.url + "/diagnose",
+                json.dumps(payload).encode(),
+                {"Content-Type": "application/json", "Accept": "text/html, image/png"},
+            )
+        assert excinfo.value.code == 415
+
+    def test_malformed_binary_frame_is_400_with_json_error(self, served):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._exchange(
+                served.url + "/diagnose",
+                b"\x00\x01 not a frame",
+                {"Content-Type": "application/x-repro-binary"},
+            )
+        assert excinfo.value.code == 400
+        assert excinfo.value.headers["Content-Type"] == "application/json"
+        assert json.loads(excinfo.value.read())["error_type"] == "CodecError"
